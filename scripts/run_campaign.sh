@@ -194,7 +194,7 @@ echo "== sanitized scheduler + compression runs (-DVP_SANITIZE=ON) =="
 # the drop/coalesce task destruction paths, and the codec byte-twiddling
 # (shuffle, varint, quantize) run under the sanitizers
 cmake -B ../build-sanitize -S .. -G Ninja -DVP_SANITIZE=ON
-cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testViz testLayout um_layout
+cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testConfigs testViz testLayout um_layout
 ../build-sanitize/bench/um_sched --benchmark_min_time=0.05 \
   | tee um_sched_sanitized.txt
 ../build-sanitize/tests/testSched
@@ -213,6 +213,10 @@ VP_CHECK=1 ../build-sanitize/bench/um_graph --benchmark_min_time=0.05 \
 # the tuner's knob-space serialization, evaluator state resets, and the
 # online controller's apply/revert closures under ASan+UBSan
 ../build-sanitize/tests/testTune
+# the knob table's parser takes outside input (XML attributes, VP_*
+# variables) and narrows it into integer fields: every committed config
+# and the rejection cases under ASan+UBSan
+../build-sanitize/tests/testConfigs
 # framebuffer fills, per-viewer downsample/codec paths, the steer wire
 # encodings, and the streamer's session teardown under ASan+UBSan
 ../build-sanitize/tests/testViz

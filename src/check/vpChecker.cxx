@@ -1,5 +1,6 @@
 #include "vpChecker.h"
 
+#include "vpKnobs.h"
 #include "vpPlatform.h" // vp::Error (header-only); StreamState via vpStream.h
 
 #include <algorithm>
@@ -426,8 +427,7 @@ bool Enabled()
   int s = EnabledState.load(std::memory_order_relaxed);
   if (s < 0)
   {
-    const char *e = std::getenv("VP_CHECK");
-    s = (e && *e && !(e[0] == '0' && e[1] == '\0')) ? 1 : 0;
+    s = knobs::FromEnv(CheckConfig{}).Enabled ? 1 : 0;
     EnabledState.store(s, std::memory_order_relaxed);
   }
   return s == 1;

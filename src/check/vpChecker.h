@@ -103,6 +103,8 @@ struct CheckConfig
   bool Enabled = false;         ///< master switch
   std::size_t MaxReports = 256; ///< cap on retained Violation records
   bool FailFast = false;        ///< throw vp::Error at the first violation
+
+  bool operator==(const CheckConfig &) const = default;
 };
 
 // --- control ----------------------------------------------------------------

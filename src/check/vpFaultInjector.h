@@ -43,6 +43,8 @@ struct FaultConfig
   std::uint64_t DropFrameNth = 0;   ///< Nth service data frame lost in transit
   std::uint64_t CrashSendNth = 0;   ///< Nth frame send dies mid-frame
   double FrameDelaySeconds = 0.0;   ///< extra real+virtual delay per frame
+
+  bool operator==(const FaultConfig &) const = default;
 };
 
 /// Counters of the faults actually fired.

@@ -34,36 +34,6 @@ std::size_t DTypeSize(DType t)
   throw std::invalid_argument("cmp::DTypeSize: unknown dtype");
 }
 
-const char *CodecName(CodecId id)
-{
-  switch (id)
-  {
-    case CodecId::None:
-      return "none";
-    case CodecId::ShuffleRLE:
-      return "shuffle-rle";
-    case CodecId::DeltaVarint:
-      return "delta-varint";
-    case CodecId::Quantize:
-      return "quantize";
-  }
-  return "unknown";
-}
-
-CodecId CodecIdFromName(const std::string &name)
-{
-  if (name == "none" || name == "off" || name == "raw")
-    return CodecId::None;
-  if (name == "shuffle-rle" || name == "shuffle_rle" || name == "shuffle" ||
-      name == "rle")
-    return CodecId::ShuffleRLE;
-  if (name == "delta-varint" || name == "delta_varint" || name == "delta")
-    return CodecId::DeltaVarint;
-  if (name == "quantize" || name == "quantizer")
-    return CodecId::Quantize;
-  throw std::invalid_argument("cmp: unknown codec '" + name + "'");
-}
-
 // --- process-wide configuration and stats -----------------------------------
 
 namespace

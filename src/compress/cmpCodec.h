@@ -52,6 +52,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -81,12 +82,38 @@ enum class DType : std::uint8_t
 std::size_t DTypeSize(DType t);
 
 /// Stable lower-case codec name ("none", "shuffle-rle", ...).
-const char *CodecName(CodecId id);
+inline const char *CodecName(CodecId id)
+{
+  switch (id)
+  {
+    case CodecId::None:
+      return "none";
+    case CodecId::ShuffleRLE:
+      return "shuffle-rle";
+    case CodecId::DeltaVarint:
+      return "delta-varint";
+    case CodecId::Quantize:
+      return "quantize";
+  }
+  return "unknown";
+}
 
 /// Parse a codec name ("none"/"off", "shuffle-rle"/"shuffle_rle"/"rle",
 /// "delta-varint"/"delta_varint", "quantize"). Throws
 /// std::invalid_argument on unknown names.
-CodecId CodecIdFromName(const std::string &name);
+inline CodecId CodecIdFromName(const std::string &name)
+{
+  if (name == "none" || name == "off" || name == "raw")
+    return CodecId::None;
+  if (name == "shuffle-rle" || name == "shuffle_rle" || name == "shuffle" ||
+      name == "rle")
+    return CodecId::ShuffleRLE;
+  if (name == "delta-varint" || name == "delta_varint" || name == "delta")
+    return CodecId::DeltaVarint;
+  if (name == "quantize" || name == "quantizer")
+    return CodecId::Quantize;
+  throw std::invalid_argument("cmp: unknown codec '" + name + "'");
+}
 
 /// Per-chunk encoding request.
 struct Params
@@ -94,6 +121,8 @@ struct Params
   CodecId Codec = CodecId::ShuffleRLE;
   int Level = 1;           ///< shuffle-rle: 0 = RLE only, >=1 = shuffle first
   double ErrorBound = 0.0; ///< quantize: max absolute reconstruction error
+
+  bool operator==(const Params &) const = default;
 };
 
 /// Process-wide compression configuration (the `<compress>` XML element).
@@ -101,6 +130,8 @@ struct Config
 {
   bool Enabled = false; ///< compress the integrated data paths by default
   Params Default;       ///< codec the integrated paths request when enabled
+
+  bool operator==(const Config &) const = default;
 };
 
 /// Replace the process-wide configuration (validated: a `quantize`

@@ -10,10 +10,7 @@
 /// <analysis> element:
 ///
 ///   <sensei>
-///     <pool enabled="1" max_cached_bytes="268435456"
-///           trim_threshold="0.5"/>
-///     <sched policy="cost-model" queue_depth="4"
-///            backpressure="drop-oldest"/>
+///     <sched policy="cost-model" queue_depth="4"/>
 ///     <analysis type="data_binning" mesh="bodies"
 ///               axes="x,y" resolution="256,256"
 ///               ops="sum" values="m"
@@ -27,13 +24,9 @@
 ///
 /// `device` accepts an explicit id, "host", or "auto" (Eq. 1 placement
 /// with the optional devices_to_use / device_start / device_stride
-/// controls).
-///
-/// The optional <sched> element configures the adaptive scheduler: the
-/// automatic-placement policy ("static" = Eq. 1, "least-loaded",
-/// "cost-model"; overridable per analysis with a policy attribute) and
-/// the bounded asynchronous pipeline (queue_depth, 0 = unbounded;
-/// backpressure = "block" | "drop-oldest" | "coalesce"; real_threads).
+/// controls). The subsystem elements (<pool>, <sched>, <exec>, ...) and
+/// the per-analysis policy / compress* / layout* overrides are the rows
+/// of the knob table (vpKnobs.h).
 
 #include "senseiAnalysisAdaptor.h"
 

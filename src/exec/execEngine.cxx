@@ -1,9 +1,9 @@
 #include "execEngine.h"
 
 #include "vpChecker.h"
+#include "vpKnobs.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -14,38 +14,11 @@ namespace exec
 
 // --- configuration -------------------------------------------------------
 
-Mode ModeFromName(const std::string &name)
-{
-  if (name == "serial")
-    return Mode::Serial;
-  if (name == "threads")
-    return Mode::Threads;
-  throw std::invalid_argument("unknown exec mode \"" + name +
-                              "\" (expected serial or threads)");
-}
-
-const char *ModeName(Mode m)
-{
-  return m == Mode::Threads ? "threads" : "serial";
-}
-
 ExecConfig DefaultConfig()
 {
-  ExecConfig cfg;
-  // lenient: an unrecognized VP_EXEC value falls back to the bit-exact
-  // serial path rather than aborting a whole campaign
-  if (const char *e = std::getenv("VP_EXEC"))
-  {
-    if (std::string(e) == "threads")
-      cfg.ExecMode = Mode::Threads;
-  }
-  if (const char *t = std::getenv("VP_EXEC_THREADS"))
-  {
-    const int n = std::atoi(t);
-    if (n > 0)
-      cfg.Threads = n;
-  }
-  return cfg;
+  // lenient: a malformed VP_EXEC / VP_EXEC_THREADS falls back to the
+  // bit-exact serial default rather than aborting a whole campaign
+  return knobs::FromEnv(ExecConfig{});
 }
 
 namespace

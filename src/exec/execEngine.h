@@ -38,6 +38,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,10 +60,21 @@ enum class Mode : int
 };
 
 /// Parse "serial" / "threads"; throws std::invalid_argument otherwise.
-Mode ModeFromName(const std::string &name);
+inline Mode ModeFromName(const std::string &name)
+{
+  if (name == "serial")
+    return Mode::Serial;
+  if (name == "threads")
+    return Mode::Threads;
+  throw std::invalid_argument("unknown exec mode \"" + name +
+                              "\" (expected serial or threads)");
+}
 
 /// Stable lower-case name.
-const char *ModeName(Mode m);
+inline const char *ModeName(Mode m)
+{
+  return m == Mode::Threads ? "threads" : "serial";
+}
 
 /// Process-wide engine configuration (the `<exec>` XML element).
 struct ExecConfig
@@ -71,11 +83,7 @@ struct ExecConfig
   int Threads = 0;               ///< worker-pool lanes per node; 0 = auto
   std::size_t ShardGrain = 16384; ///< min elements per shard
 
-  bool operator==(const ExecConfig &o) const
-  {
-    return ExecMode == o.ExecMode && Threads == o.Threads &&
-           ShardGrain == o.ShardGrain;
-  }
+  bool operator==(const ExecConfig &) const = default;
 };
 
 /// The configuration the environment selects: VP_EXEC picks the mode,

@@ -2,12 +2,11 @@
 
 #include "execEngine.h"
 #include "vpChecker.h"
+#include "vpKnobs.h"
 #include "vpMemory.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 namespace vp
@@ -37,18 +36,6 @@ bool &ConfigInitialized()
 {
   static bool init = false;
   return init;
-}
-
-/// Environment flag: unset -> dflt; "0"/"off"/"false"/"no" -> false;
-/// anything else -> true.
-bool EnvFlag(const char *name, bool dflt)
-{
-  const char *v = std::getenv(name);
-  if (!v || !*v)
-    return dflt;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "OFF") == 0 || std::strcmp(v, "false") == 0 ||
-           std::strcmp(v, "FALSE") == 0 || std::strcmp(v, "no") == 0);
 }
 
 struct AtomicStats
@@ -95,16 +82,7 @@ double ReplayCopyBandwidth(const CostModel &cost, CopyKind kind,
 
 GraphConfig DefaultConfig()
 {
-  GraphConfig cfg;
-  cfg.Enabled = EnvFlag("VP_GRAPH", cfg.Enabled);
-  cfg.Fusion = EnvFlag("VP_GRAPH_FUSION", cfg.Fusion);
-  if (const char *v = std::getenv("VP_GRAPH_MAX_NODES"))
-  {
-    const long n = std::atol(v);
-    if (n > 0)
-      cfg.MaxNodes = static_cast<std::size_t>(n);
-  }
-  return cfg;
+  return knobs::FromEnv(GraphConfig{});
 }
 
 void Configure(const GraphConfig &cfg)
@@ -766,18 +744,6 @@ void Session::Flush()
 
 void Session::Invalidate()
 {
-  if (std::getenv("VP_GRAPH_DEBUG"))
-  {
-    const GraphNode *n = this->Cursor_ < this->Nodes_.size()
-                           ? &this->Nodes_[this->Cursor_] : nullptr;
-    std::fprintf(stderr,
-                 "graph invalidate: cursor=%zu/%zu expected kind=%d name=%s "
-                 "N=%zu bytes=%zu\n",
-                 this->Cursor_, this->Nodes_.size(),
-                 n ? static_cast<int>(n->Kind) : -1,
-                 n && n->Desc.Name ? n->Desc.Name : "",
-                 n ? n->Desc.N : 0, n ? n->Bytes : 0);
-  }
   this->Flush();
   this->State_ = State::Bypass;
   TheStats().Invalidations++;

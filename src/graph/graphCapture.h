@@ -45,6 +45,8 @@ struct GraphConfig
   /// the best adaptive candidate beyond which the placement is considered
   /// diverged and the armed graph is dropped for re-capture.
   double RepinThreshold = 2.0e-3;
+
+  bool operator==(const GraphConfig &) const = default;
 };
 
 /// Configuration seeded from the environment: VP_GRAPH (1/on/true enables,

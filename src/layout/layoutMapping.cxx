@@ -1,5 +1,7 @@
 #include "layoutMapping.h"
 
+#include "vpKnobs.h"
+
 #include <atomic>
 #include <cctype>
 #include <cstdlib>
@@ -12,47 +14,6 @@ namespace layout
 {
 
 // --- names -------------------------------------------------------------------
-
-Kind KindFromName(const std::string &name, std::size_t *block)
-{
-  if (name == "aos" || name == "interleaved")
-    return Kind::AoS;
-  if (name == "soa" || name == "planar")
-    return Kind::SoA;
-  if (name.rfind("aosoa", 0) == 0)
-  {
-    const std::string tail = name.substr(5);
-    if (tail.empty())
-      return Kind::AoSoA;
-    for (char c : tail)
-      if (!std::isdigit(static_cast<unsigned char>(c)))
-        throw std::invalid_argument("vp::layout: bad layout name '" + name +
-                                    "'");
-    const unsigned long b = std::strtoul(tail.c_str(), nullptr, 10);
-    if (b < 2 || b > 65536)
-      throw std::invalid_argument("vp::layout: aosoa block size must be in "
-                                  "[2, 65536], got '" + name + "'");
-    if (block)
-      *block = static_cast<std::size_t>(b);
-    return Kind::AoSoA;
-  }
-  throw std::invalid_argument("vp::layout: unknown layout '" + name +
-                              "' (want aos | soa | aosoa | aosoa<B>)");
-}
-
-const char *KindName(Kind k)
-{
-  switch (k)
-  {
-    case Kind::AoS:
-      return "aos";
-    case Kind::SoA:
-      return "soa";
-    case Kind::AoSoA:
-      return "aosoa";
-  }
-  return "unknown";
-}
 
 std::string KindName(Kind k, std::size_t block)
 {
@@ -193,16 +154,7 @@ AtomicStats &GlobalStats()
 
 LayoutConfig DefaultConfig()
 {
-  LayoutConfig cfg;
-  if (const char *env = std::getenv("VP_LAYOUT"))
-  {
-    std::size_t block = cfg.Block;
-    cfg.Default = KindFromName(env, &block);
-    cfg.Block = block;
-  }
-  if (const char *env = std::getenv("VP_SIMD"))
-    cfg.Simd = env[0] && env[0] != '0';
-  return cfg;
+  return knobs::FromEnv(LayoutConfig{});
 }
 
 void Configure(const LayoutConfig &cfg)

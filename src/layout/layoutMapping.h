@@ -31,8 +31,11 @@
 /// bit-exact with the seed timeline; the SIMD variants reassociate
 /// floating-point accumulation and are therefore opt-in.
 
+#include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 namespace vp
@@ -51,10 +54,47 @@ enum class Kind : int
 /// Parse "aos" / "soa" / "aosoa" / "aosoa<B>" (e.g. "aosoa16"). When a
 /// block size is embedded it is written to *block (left untouched
 /// otherwise). Throws std::invalid_argument on anything else.
-Kind KindFromName(const std::string &name, std::size_t *block = nullptr);
+inline Kind KindFromName(const std::string &name, std::size_t *block = nullptr)
+{
+  if (name == "aos" || name == "interleaved")
+    return Kind::AoS;
+  if (name == "soa" || name == "planar")
+    return Kind::SoA;
+  if (name.rfind("aosoa", 0) == 0)
+  {
+    const std::string tail = name.substr(5);
+    if (tail.empty())
+      return Kind::AoSoA;
+    for (char c : tail)
+      if (!std::isdigit(static_cast<unsigned char>(c)))
+        throw std::invalid_argument("vp::layout: bad layout name '" + name +
+                                    "'");
+    const unsigned long b = std::strtoul(tail.c_str(), nullptr, 10);
+    if (b < 2 || b > 65536)
+      throw std::invalid_argument("vp::layout: aosoa block size must be in "
+                                  "[2, 65536], got '" + name + "'");
+    if (block)
+      *block = static_cast<std::size_t>(b);
+    return Kind::AoSoA;
+  }
+  throw std::invalid_argument("vp::layout: unknown layout '" + name +
+                              "' (want aos | soa | aosoa | aosoa<B>)");
+}
 
 /// Stable lower-case base name ("aos", "soa", "aosoa").
-const char *KindName(Kind k);
+inline const char *KindName(Kind k)
+{
+  switch (k)
+  {
+    case Kind::AoS:
+      return "aos";
+    case Kind::SoA:
+      return "soa";
+    case Kind::AoSoA:
+      return "aosoa";
+  }
+  return "unknown";
+}
 
 /// Display name carrying the block size for AoSoA ("aosoa32").
 std::string KindName(Kind k, std::size_t block);
@@ -112,10 +152,7 @@ struct LayoutConfig
   std::size_t Block = 32;   ///< AoSoA block size
   bool Simd = false;        ///< allow vectorized (reassociating) kernels
 
-  bool operator==(const LayoutConfig &o) const
-  {
-    return Default == o.Default && Block == o.Block && Simd == o.Simd;
-  }
+  bool operator==(const LayoutConfig &) const = default;
 };
 
 /// The configuration the environment selects: VP_LAYOUT names the

@@ -64,6 +64,8 @@ struct PoolConfig
   /// Smallest size class; requests are rounded up to a power of two of at
   /// least this many bytes.
   std::size_t MinBlockBytes = 256;
+
+  bool operator==(const PoolConfig &) const = default;
 };
 
 /// Counter block for one pool (or an aggregate over pools).

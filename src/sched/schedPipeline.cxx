@@ -51,28 +51,6 @@ SchedConfig GetConfig()
   return ConfigStorage();
 }
 
-Backpressure BackpressureFromName(const std::string &name)
-{
-  if (name == "block" || name.empty())
-    return Backpressure::Block;
-  if (name == "drop-oldest" || name == "drop_oldest")
-    return Backpressure::DropOldest;
-  if (name == "coalesce")
-    return Backpressure::Coalesce;
-  throw std::invalid_argument("unknown backpressure policy '" + name + "'");
-}
-
-const char *BackpressureName(Backpressure b)
-{
-  switch (b)
-  {
-    case Backpressure::Block: return "block";
-    case Backpressure::DropOldest: return "drop-oldest";
-    case Backpressure::Coalesce: return "coalesce";
-  }
-  return "unknown";
-}
-
 // --- stats ------------------------------------------------------------------
 
 PipelineStats &PipelineStats::operator+=(const PipelineStats &o)

@@ -61,10 +61,28 @@ enum class Backpressure : int
 
 /// Parse a backpressure name ("block", "drop-oldest"/"drop_oldest",
 /// "coalesce"). Throws std::invalid_argument on unknown names.
-Backpressure BackpressureFromName(const std::string &name);
+inline Backpressure BackpressureFromName(const std::string &name)
+{
+  if (name == "block" || name.empty())
+    return Backpressure::Block;
+  if (name == "drop-oldest" || name == "drop_oldest")
+    return Backpressure::DropOldest;
+  if (name == "coalesce")
+    return Backpressure::Coalesce;
+  throw std::invalid_argument("unknown backpressure policy '" + name + "'");
+}
 
 /// Stable lower-case name.
-const char *BackpressureName(Backpressure b);
+inline const char *BackpressureName(Backpressure b)
+{
+  switch (b)
+  {
+    case Backpressure::Block: return "block";
+    case Backpressure::DropOldest: return "drop-oldest";
+    case Backpressure::Coalesce: return "coalesce";
+  }
+  return "unknown";
+}
 
 /// Process-wide scheduler configuration (the `<sched>` XML element).
 struct SchedConfig
@@ -73,6 +91,8 @@ struct SchedConfig
   long QueueDepth = 1;                    ///< payloads in flight; 0 = unbounded
   Backpressure Pressure = Backpressure::Block;
   bool RealThreads = false; ///< run consumers on real std::threads
+
+  bool operator==(const SchedConfig &) const = default;
 };
 
 /// Replace the process-wide configuration (validated: QueueDepth >= 0).

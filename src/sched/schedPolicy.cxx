@@ -180,28 +180,6 @@ public:
 
 } // namespace
 
-PolicyKind PolicyKindFromName(const std::string &name)
-{
-  if (name == "static" || name.empty())
-    return PolicyKind::Static;
-  if (name == "least-loaded" || name == "least_loaded")
-    return PolicyKind::LeastLoaded;
-  if (name == "cost-model" || name == "cost_model")
-    return PolicyKind::CostModel;
-  throw std::invalid_argument("unknown placement policy '" + name + "'");
-}
-
-const char *PolicyKindName(PolicyKind k)
-{
-  switch (k)
-  {
-    case PolicyKind::Static: return "static";
-    case PolicyKind::LeastLoaded: return "least-loaded";
-    case PolicyKind::CostModel: return "cost-model";
-  }
-  return "unknown";
-}
-
 PlacementPolicy &GetPolicy(PolicyKind k)
 {
   static StaticPolicy staticPolicy;

@@ -28,6 +28,7 @@
 /// concurrent ranks see each other's assignments within a step.
 
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,10 +46,28 @@ enum class PolicyKind : int
 /// Parse a policy name ("static", "least-loaded"/"least_loaded",
 /// "cost-model"/"cost_model"). Throws std::invalid_argument on unknown
 /// names.
-PolicyKind PolicyKindFromName(const std::string &name);
+inline PolicyKind PolicyKindFromName(const std::string &name)
+{
+  if (name == "static" || name.empty())
+    return PolicyKind::Static;
+  if (name == "least-loaded" || name == "least_loaded")
+    return PolicyKind::LeastLoaded;
+  if (name == "cost-model" || name == "cost_model")
+    return PolicyKind::CostModel;
+  throw std::invalid_argument("unknown placement policy '" + name + "'");
+}
 
 /// Stable lower-case name ("static", "least-loaded", "cost-model").
-const char *PolicyKindName(PolicyKind k);
+inline const char *PolicyKindName(PolicyKind k)
+{
+  switch (k)
+  {
+    case PolicyKind::Static: return "static";
+    case PolicyKind::LeastLoaded: return "least-loaded";
+    case PolicyKind::CostModel: return "cost-model";
+  }
+  return "unknown";
+}
 
 /// Scheduling class of the work being placed. Interactive requests (a
 /// steerable viz render, a viewer-facing frame) win their device on

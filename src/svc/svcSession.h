@@ -44,6 +44,8 @@ struct ServiceConfig
   long PushDepth = 2; ///< server->client frames buffered per session
   bool HaveCodecOverride = false; ///< server forces the frame codec
   cmp::Params CodecOverride;      ///< the forced codec when overridden
+
+  bool operator==(const ServiceConfig &) const = default;
 };
 
 /// Replace the process-wide configuration (validated; throws

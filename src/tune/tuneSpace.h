@@ -8,24 +8,21 @@
 /// x graph capture — far beyond what hand-written `configs/*.xml` can
 /// cover. This header makes that space a first-class object:
 ///
-///  * `ConfigPoint` — one point in the space, a typed struct mirroring
-///    the `<pool>`, `<sched>`, `<compress>`, `<exec>` and `<graph>` XML
-///    elements plus optional per-analysis overrides (placement policy
-///    and codec, the attributes ConfigurableAnalysis honours per
-///    `<analysis>` element).
+///  * `ConfigPoint` — one point in the space: the subsystem config
+///    structs of the knob table (vpKnobs.h) plus optional per-analysis
+///    overrides.
 ///  * `Knob` / `KnobSpace` — typed knob descriptors (bool, enum,
 ///    power-of-two, linear int, log-scale double) with bounds and
 ///    neighbourhood moves, so a search algorithm can mutate points
-///    generically without knowing what each knob means.
+///    generically without knowing what each knob means. The knobs are
+///    the table rows that carry a search domain.
 ///  * the XML emitter/parser — any point serializes to a loadable SENSEI
 ///    configuration (ApplyToDoc / EmitXml) and parses back field for
-///    field (ParseDoc), which is what makes offline search results
-///    shippable as `configs/tuned_campaign.xml`.
+///    field (ParseDoc) through the same rows ConfigurableAnalysis uses,
+///    which is what makes offline search results shippable as
+///    `configs/tuned_campaign.xml`.
 
-#include "cmpCodec.h"
-#include "execEngine.h"
-#include "layoutMapping.h"
-#include "schedPipeline.h"
+#include "vpKnobs.h"
 
 #include <cstddef>
 #include <functional>
@@ -41,82 +38,36 @@ class Element;
 namespace tune
 {
 
-/// Optional per-analysis overrides, index-aligned with the `<analysis>`
-/// children of the document a point is applied to. -1 means "follow the
-/// run-wide default" (no attribute emitted).
-struct AnalysisOverride
-{
-  int Policy = -1; ///< sched::PolicyKind when >= 0
-  int Codec = -1;  ///< cmp::CodecId when >= 0
-  int Level = 1;   ///< codec level when Codec >= 0
-  double ErrorBound = 0.0; ///< quantize bound when Codec >= 0
+/// Per-analysis overrides (placement policy, codec, layout), index-aligned
+/// with the `<analysis>` children of the document a point is applied to.
+using AnalysisOverride = vp::knobs::AnalysisOverride;
 
-  bool IsDefault() const { return this->Policy < 0 && this->Codec < 0; }
-  bool operator==(const AnalysisOverride &o) const;
-  bool operator!=(const AnalysisOverride &o) const { return !(*this == o); }
+/// The override vector; entries beyond it (or default entries) follow
+/// the run-wide configuration, so a short vector equals one padded with
+/// default entries.
+struct OverrideList : std::vector<AnalysisOverride>
+{
+  using std::vector<AnalysisOverride>::vector;
+  bool operator==(const OverrideList &o) const;
 };
 
-/// One point in the scheduling space: every run-time knob the tuner may
-/// set, with the subsystem defaults as the origin.
-struct ConfigPoint
+/// One point in the scheduling space: the subsystem configurations of
+/// the knob table plus the per-analysis overrides. The tuner models the
+/// elements with tunable rows; the others stay at their defaults.
+struct ConfigPoint : vp::knobs::Settings
 {
-  // <pool>
-  bool PoolEnabled = false;
-  std::size_t PoolMaxCachedBytes = std::size_t(256) << 20;
-  double PoolTrimThreshold = 0.5;
-  std::size_t PoolMinBlockBytes = 256;
+  /// The tune origin is the subsystem defaults, except for a positive
+  /// compress error bound (cmp::Params defaults to 0) so a move onto the
+  /// quantize codec always validates.
+  ConfigPoint() { this->Compress.Default.ErrorBound = 1e-4; }
 
-  // <sched>
-  sched::PolicyKind Policy = sched::PolicyKind::Static;
-  long QueueDepth = 1;
-  sched::Backpressure Pressure = sched::Backpressure::Block;
+  OverrideList Overrides;
 
-  // <compress>
-  bool CompressEnabled = false;
-  cmp::CodecId Codec = cmp::CodecId::ShuffleRLE;
-  int CompressLevel = 1;
-  double CompressErrorBound = 1e-4; ///< kept > 0 so quantize always validates
-
-  // <exec>
-  vp::exec::Mode ExecMode = vp::exec::Mode::Serial;
-  int ExecThreads = 0;
-  std::size_t ExecShardGrain = 16384;
-
-  // <graph>
-  bool GraphEnabled = false;
-  bool GraphFusion = true;
-  std::size_t GraphMaxNodes = 4096;
-
-  // <layout> — default array layout, AoSoA block size, and whether the
-  // vectorized (reassociating) kernel variants may run
-  vp::layout::Kind Layout = vp::layout::Kind::AoS;
-  std::size_t LayoutBlock = 32;
-  bool LayoutSimd = false;
-
-  // <viz> — the steerable render endpoint: square framebuffer ladder,
-  // colormap, and the image-frame codec (None = raw RGBA)
-  std::size_t VizResolution = 256;
-  int VizColormap = 1; ///< viz::Colormap index (1 = viridis)
-  cmp::CodecId VizCodec = cmp::CodecId::None;
-
-  /// Per-analysis overrides; entries beyond the vector (or default
-  /// entries) mean "follow the run-wide configuration", so a missing
-  /// vector and an all-default vector compare equal.
-  std::vector<AnalysisOverride> Overrides;
-
-  bool operator==(const ConfigPoint &o) const;
-  bool operator!=(const ConfigPoint &o) const { return !(*this == o); }
+  bool operator==(const ConfigPoint &) const = default;
 };
 
 /// How a knob's value moves through its domain.
-enum class KnobKind : int
-{
-  Bool = 0,   ///< flip
-  Enum,       ///< adjacent choice (wrapping)
-  PowerOfTwo, ///< x2 / /2 within [Min, Max]
-  Int,        ///< +-1 within [Min, Max]
-  LogDouble   ///< x/÷ a step factor within [Min, Max]
-};
+using KnobKind = vp::knobs::Scale;
 
 /// One typed knob descriptor: bounds, choices, and accessors into a
 /// ConfigPoint. Values travel as double (enums/bools as their index).
@@ -139,11 +90,12 @@ struct Knob
 class KnobSpace
 {
 public:
-  /// The campaign space: every `<pool>`, `<sched>`, `<compress>`,
-  /// `<exec>`, `<graph>` and `<viz>` knob, plus a per-analysis placement-policy
-  /// override knob for each of `nAnalyses` analyses (0 = no per-analysis
-  /// knobs). `includeExec` drops the `<exec>`/shard knobs for searches
-  /// that only score virtual time (exec mode cannot change it).
+  /// The campaign space: every tunable row of the knob table in table
+  /// order (`<pool>`, `<sched>`, `<compress>`, `<exec>`, `<graph>`,
+  /// `<layout>`, `<viz>`), plus a per-analysis placement-policy override
+  /// knob for each of `nAnalyses` analyses (0 = no per-analysis knobs).
+  /// `includeExec` drops the `<exec>` knobs for searches that only score
+  /// virtual time (exec mode cannot change it).
   static KnobSpace Campaign(int nAnalyses = 0, bool includeExec = true);
 
   const std::vector<Knob> &Knobs() const { return this->Knobs_; }
@@ -167,8 +119,8 @@ private:
   std::vector<Knob> Knobs_;
 };
 
-/// Overlay `p` onto a parsed `<sensei>` document: the six subsystem
-/// elements are created (or taken over) with every knob explicitly set,
+/// Overlay `p` onto a parsed `<sensei>` document: every element with a
+/// tunable row is created (or taken over) with all its rows explicit,
 /// and per-analysis override attributes are written onto the i-th
 /// `<analysis>` child. Fully explicit emission is what makes evaluations
 /// order-independent: no knob of a previous candidate can leak through
@@ -180,9 +132,10 @@ void ApplyToDoc(const ConfigPoint &p, sxml::Element &root);
 /// cache key for the evaluator.
 std::string EmitXml(const ConfigPoint &p);
 
-/// Read a point back from a parsed `<sensei>` document. Attributes or
-/// elements that are absent keep the ConfigPoint defaults; elements the
-/// tuner does not model (`<check>`, `<fault>`, `<service>`, analyses)
+/// Read a point back from a parsed `<sensei>` document: the same row
+/// parse as ConfigurableAnalysis, minus the environment and Configure.
+/// Attributes or elements that are absent keep the ConfigPoint defaults;
+/// elements the tuner does not model (`<check>`, `<fault>`, `<service>`)
 /// are ignored. Throws std::runtime_error on out-of-domain values.
 ConfigPoint ParseDoc(const sxml::Element &root);
 

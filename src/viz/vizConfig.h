@@ -26,6 +26,8 @@ struct ViewerOverride
   std::uint32_t Width = 0, Height = 0;
   bool HaveCodec = false;
   cmp::Params Codec; ///< image-frame codec for this viewer
+
+  bool operator==(const ViewerOverride &) const = default;
 };
 
 /// Process-wide render/stream plan.
@@ -40,6 +42,8 @@ struct VizConfig
   /// (cmp::Params defaults to ShuffleRLE, which is wrong for frames).
   cmp::Params Codec{cmp::CodecId::None, 1, 0.0};
   std::vector<ViewerOverride> Viewers;
+
+  bool operator==(const VizConfig &) const = default;
 };
 
 /// Replace the process-wide configuration (validated; throws

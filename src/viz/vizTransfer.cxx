@@ -43,28 +43,6 @@ Lut GetLut(Colormap m)
 
 } // namespace
 
-Colormap ColormapFromName(const std::string &name)
-{
-  if (name == "gray" || name == "grey")
-    return Colormap::Gray;
-  if (name == "viridis" || name.empty())
-    return Colormap::Viridis;
-  if (name == "heat")
-    return Colormap::Heat;
-  throw std::invalid_argument("viz: unknown colormap '" + name + "'");
-}
-
-const char *ColormapName(Colormap m)
-{
-  switch (m)
-  {
-    case Colormap::Gray: return "gray";
-    case Colormap::Viridis: return "viridis";
-    case Colormap::Heat: return "heat";
-  }
-  return "unknown";
-}
-
 double Normalize(double v, const TransferFunction &tf)
 {
   if (std::isnan(v))

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 namespace viz
@@ -33,10 +34,28 @@ enum class Colormap : int
 
 /// Parse a colormap name ("gray"/"grey", "viridis", "heat"). Throws
 /// std::invalid_argument on unknown names.
-Colormap ColormapFromName(const std::string &name);
+inline Colormap ColormapFromName(const std::string &name)
+{
+  if (name == "gray" || name == "grey")
+    return Colormap::Gray;
+  if (name == "viridis" || name.empty())
+    return Colormap::Viridis;
+  if (name == "heat")
+    return Colormap::Heat;
+  throw std::invalid_argument("viz: unknown colormap '" + name + "'");
+}
 
 /// Stable lower-case name.
-const char *ColormapName(Colormap m);
+inline const char *ColormapName(Colormap m)
+{
+  switch (m)
+  {
+    case Colormap::Gray: return "gray";
+    case Colormap::Viridis: return "viridis";
+    case Colormap::Heat: return "heat";
+  }
+  return "unknown";
+}
 
 /// A complete transfer-function parameterization.
 struct TransferFunction

@@ -43,12 +43,19 @@ bool Element::AttributeBool(const std::string &key, bool fallback) const
   auto it = this->Attrs_.find(key);
   if (it == this->Attrs_.end())
     return fallback;
-  const std::string &v = it->second;
-  if (v == "1" || v == "true" || v == "yes" || v == "on")
-    return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off")
+  bool v = fallback;
+  return ParseBool(it->second, v) ? v : fallback;
+}
+
+bool ParseBool(const std::string &text, bool &value)
+{
+  if (text == "1" || text == "true" || text == "yes" || text == "on")
+    value = true;
+  else if (text == "0" || text == "false" || text == "no" || text == "off")
+    value = false;
+  else
     return false;
-  return fallback;
+  return true;
 }
 
 const Element *Element::FirstChild(const std::string &name) const

@@ -125,6 +125,10 @@ std::unique_ptr<Element> Parse(const std::string &text);
 /// cannot be read, ParseError on malformed content.
 std::unique_ptr<Element> ParseFile(const std::string &path);
 
+/// Parse the configuration boolean vocabulary (1/true/yes/on,
+/// 0/false/no/off) into `value`; false when `text` is neither.
+bool ParseBool(const std::string &text, bool &value);
+
 /// Serialize an element tree (round-trip/diagnostics).
 std::string Serialize(const Element &root, int indent = 0);
 

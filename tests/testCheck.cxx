@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -471,6 +472,23 @@ TEST_F(CheckTest, ConfigurableAnalysisParsesCheckAndFaultElements)
   EXPECT_EQ(fcfg.DelayDevice, 1);
   EXPECT_TRUE(fcfg.PrematureReuse);
   ca->UnRegister();
+}
+
+TEST_F(CheckTest, EnvironmentOffWinsOverCheckElement)
+{
+  // VP_CHECK takes the XML boolean vocabulary and, like every knob's
+  // environment variable, wins over the document
+  const char *prev = std::getenv("VP_CHECK");
+  const std::string saved = prev ? prev : "";
+  ::setenv("VP_CHECK", "off", 1);
+  sensei::ConfigurableAnalysis *ca = sensei::ConfigurableAnalysis::New();
+  ca->InitializeString("<sensei><check/></sensei>");
+  ca->UnRegister();
+  if (prev)
+    ::setenv("VP_CHECK", saved.c_str(), 1);
+  else
+    ::unsetenv("VP_CHECK");
+  EXPECT_FALSE(vp::check::Enabled());
 }
 
 TEST_F(CheckTest, FailFastThrowsOnFirstViolation)

@@ -4,7 +4,8 @@
 // and then scored on a one-step campaign case through the auto-tuner's
 // evaluator, so a knob rename, a typo'd analysis type, or an
 // out-of-domain attribute in any shipped configuration fails here
-// instead of in a user's run.
+// instead of in a user's run. The knob table itself must be documented:
+// every row appears in the README's configuration reference.
 
 #include "campaign.h"
 #include "layoutMapping.h"
@@ -12,6 +13,7 @@
 #include "svcSession.h"
 #include "tuneSearch.h"
 #include "vizConfig.h"
+#include "vpKnobs.h"
 #include "vpPlatform.h"
 
 #include <gtest/gtest.h>
@@ -76,7 +78,37 @@ TEST(Configs, EveryConfigLoadsThroughConfigurableAnalysis)
     EXPECT_NO_THROW(a->InitializeString(f.second));
     a->UnRegister();
   }
+
+  // and a typo'd knob on a subsystem element fails instead of being
+  // silently ignored
+  sensei::ConfigurableAnalysis *a = sensei::ConfigurableAnalysis::New();
+  EXPECT_THROW(
+    a->InitializeString(R"(<sensei><sched queue_dpth="4"/></sensei>)"),
+    std::runtime_error);
+  a->UnRegister();
   ResetProcessState();
+}
+
+TEST(Configs, EveryKnobIsInTheReadmeReference)
+{
+  std::ifstream is(std::string(VP_CONFIG_DIR) + "/../README.md");
+  ASSERT_TRUE(is) << "no README.md next to " << VP_CONFIG_DIR;
+  std::ostringstream ss;
+  ss << is.rdbuf();
+  const std::string readme = ss.str();
+  for (const vp::knobs::Row &r : vp::knobs::Rows())
+  {
+    // one reference line per row: `<element> attr` | `VP_ENV` | ...
+    const std::string name = "`" + r.Name() + "`";
+    const std::size_t at = readme.find("| " + name + " |");
+    ASSERT_NE(at, std::string::npos) << name << " missing from README.md";
+    if (!r.Env.empty())
+    {
+      const std::string line = readme.substr(at, readme.find('\n', at) - at);
+      EXPECT_NE(line.find("`" + std::string(r.Env) + "`"), std::string::npos)
+        << name << " lists no " << r.Env;
+    }
+  }
 }
 
 TEST(Configs, EveryConfigRunsAOneStepCampaignCase)

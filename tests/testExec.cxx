@@ -605,13 +605,17 @@ TEST(ExecXml, EnvironmentModeWinsOverXml)
 {
   ResetPlatform();
   setenv("VP_EXEC", "serial", 1);
+  setenv("VP_EXEC_THREADS", "3", 1);
 
   sensei::ConfigurableAnalysis *a = sensei::ConfigurableAnalysis::New();
-  a->InitializeString("<sensei><exec mode=\"threads\"/></sensei>");
+  a->InitializeString(
+    "<sensei><exec mode=\"threads\" threads=\"2\"/></sensei>");
   a->UnRegister();
 
   EXPECT_FALSE(vp::exec::ThreadsEnabled());
+  EXPECT_EQ(vp::exec::GetConfig().Threads, 3);
   unsetenv("VP_EXEC");
+  unsetenv("VP_EXEC_THREADS");
   ConfigureSerial();
 }
 

@@ -239,6 +239,10 @@ TEST(GraphXml, ElementConfiguresAndValidates)
   parse("<sensei><graph enabled=\"1\"/></sensei>");
   EXPECT_FALSE(vp::graph::Enabled());
   unsetenv("VP_GRAPH");
+  setenv("VP_GRAPH_MAX_NODES", "2048", 1);
+  parse("<sensei><graph max_nodes=\"8192\"/></sensei>");
+  EXPECT_EQ(vp::graph::GetConfig().MaxNodes, 2048u);
+  unsetenv("VP_GRAPH_MAX_NODES");
 
   ConfigureGraph(false);
 }

@@ -1043,5 +1043,13 @@ TEST(SvcXml, ServiceElementConfiguresAndEnvWins)
   EXPECT_THROW(ca3->InitializeString(R"(
     <sensei><service max_sessions="0"/></sensei>)"),
                std::runtime_error);
+  EXPECT_THROW(ca3->InitializeString(R"(
+    <sensei><service ring_bytes="-1"/></sensei>)"),
+               std::runtime_error);
+  ::setenv("VP_SVC_QUEUE_DEPTH", "abc", 1);
+  EXPECT_THROW(ca3->InitializeString(R"(
+    <sensei><service queue_depth="7"/></sensei>)"),
+               std::runtime_error);
+  ::unsetenv("VP_SVC_QUEUE_DEPTH");
   ca3->UnRegister();
 }

@@ -1132,10 +1132,21 @@ TEST(VizXml, VizElementConfiguresAndEnvWins)
   EXPECT_EQ(cfg.Width, 96u);
   EXPECT_EQ(cfg.Map, viz::Colormap::Gray);
 
+  // every boolean takes the XML vocabulary
+  ::setenv("VP_VIZ_LOG", "on", 1);
+  auto *caLog = sensei::ConfigurableAnalysis::New();
+  caLog->InitializeString(R"(<sensei><viz log="0"/></sensei>)");
+  caLog->UnRegister();
+  ::unsetenv("VP_VIZ_LOG");
+  EXPECT_TRUE(viz::GetConfig().Log);
+
   // nonsense is rejected loudly
   auto *ca3 = sensei::ConfigurableAnalysis::New();
   EXPECT_THROW(
     ca3->InitializeString(R"(<sensei><viz width="0"/></sensei>)"),
+    std::runtime_error);
+  EXPECT_THROW(
+    ca3->InitializeString(R"(<sensei><viz width="-5"/></sensei>)"),
     std::runtime_error);
   ca3->UnRegister();
   auto *ca4 = sensei::ConfigurableAnalysis::New();
