@@ -1,16 +1,17 @@
-// Microbenchmark for the layout-polymorphic array engine (src/layout):
-// the SoA + SIMD nbody force path vs the seed's scalar AoS loop, and the
-// codec's cache-blocked byte-plane transpose vs the seed's per-plane
-// strided gather — both on REAL wall-clock, since layout and
-// vectorization change host work, not virtual-time accounting. Writes
-// BENCH_layout.json into the working directory
-// (scripts/run_campaign.sh collects it under results/).
+// Microbenchmark for the kernels that run over SoA columns: the nbody
+// force kernel (newton::Force, vectorized across targets on AVX2 hosts)
+// vs its scalar reference loop, and the codec's cache-blocked
+// byte-plane transpose vs the seed's per-plane strided gather — both on
+// REAL wall-clock, since vectorization changes host work, not
+// virtual-time accounting. Writes BENCH_layout.json into the working
+// directory (scripts/run_campaign.sh collects it under results/).
 //
 // Exit-code gates:
-//   - the SoA-vectorized force kernel must beat the seed's scalar AoS
-//     loop by >= 1.5x wall clock (enforced only with >= 4 hardware
-//     threads — auto-vectorization gains are swamped by timer noise on
-//     small boxes; recorded and skipped there; exit 3).
+//   - newton::Force must beat newton::ForceReference on the same bodies
+//     by >= 1.5x wall clock (enforced only with >= 4 hardware threads —
+//     gains are swamped by timer noise on small boxes; recorded and
+//     skipped there; exit 3). On a host without AVX2 both run the
+//     scalar loop and the gate fails, as it should.
 //   - the blocked byte-plane transpose must beat the strided per-plane
 //     gather by >= 1.2x wall clock (same >= 4-thread guard; exit 3).
 //   - a direct binning pipeline must produce bit-exact grids across
@@ -21,7 +22,8 @@
 #include "execEngine.h"
 #include "graphCapture.h"
 #include "layoutMapping.h"
-#include "newtonSolver.h"
+#include "newtonForce.h"
+#include "newtonInitialConditions.h"
 #include "senseiDataAdaptor.h"
 #include "senseiDataBinning.h"
 #include "senseiProfiler.h"
@@ -67,41 +69,61 @@ double Now()
     .count();
 }
 
-// ---- nbody force: scalar AoS vs the SoA + SIMD lane loop -------------------
+// ---- nbody force: Force vs the scalar ForceReference loop -----------------
 
-newton::Config ForceConfig(std::size_t bodies)
+/// The self block of a `bodies`-body initial condition: the force sum
+/// one serial solver step takes.
+struct ForceBodies
 {
-  newton::Config c;
-  c.TotalBodies = bodies;
-  c.Seed = 42;
-  c.Repartition = false;
-  return c;
-}
+  newton::BodySet Bodies;
+  std::vector<double> AX, AY, AZ;
+  newton::ForceArgs Args;
 
-/// Wall seconds for `steps` solver steps with the lane-vectorized force
-/// kernel on or off. The virtual platform runs kernel bodies on the
-/// host for real, so this times the actual loops.
-double TimeForce(bool simd, std::size_t bodies, int steps)
+  explicit ForceBodies(std::size_t bodies)
+  {
+    newton::Config c;
+    c.TotalBodies = bodies;
+    c.Seed = 42;
+    c.Repartition = false;
+    this->Bodies = newton::GenerateInitialCondition(c, 0, 1);
+    const std::size_t n = this->Bodies.Size();
+    this->AX.assign(n, 0.0);
+    this->AY.assign(n, 0.0);
+    this->AZ.assign(n, 0.0);
+    newton::ForceArgs &f = this->Args;
+    f.X = f.SX = this->Bodies.X.data();
+    f.Y = f.SY = this->Bodies.Y.data();
+    f.Z = f.SZ = this->Bodies.Z.data();
+    f.SM = this->Bodies.M.data();
+    f.AX = this->AX.data();
+    f.AY = this->AY.data();
+    f.AZ = this->AZ.data();
+    f.NSrc = n;
+    f.Self = true;
+    f.G = c.G;
+    f.Eps2 = c.Softening * c.Softening;
+  }
+
+  void Run(bool fast)
+  {
+    const std::size_t n = this->Args.NSrc;
+    if (fast)
+      newton::Force(this->Args, 0, n);
+    else
+      newton::ForceReference(this->Args, 0, n);
+    benchmark::DoNotOptimize(this->AX.data());
+    benchmark::ClobberMemory();
+  }
+};
+
+/// Wall seconds for `rounds` full force sums over the same bodies.
+double TimeForce(bool fast, ForceBodies &fb, int rounds)
 {
-  Reset();
-  vp::exec::Configure(vp::exec::ExecConfig());
-  vp::layout::LayoutConfig lc;
-  lc.Default = simd ? vp::layout::Kind::SoA : vp::layout::Kind::AoS;
-  lc.Simd = simd;
-  vp::layout::Configure(lc);
-
-  newton::Solver solver(nullptr, ForceConfig(bodies));
-  solver.Initialize();
-  for (int s = 0; s < 2; ++s)
-    solver.Step(); // warm: early steps pay allocation and placement
-
+  fb.Run(fast); // warm the caches
   const double t0 = Now();
-  for (int s = 0; s < steps; ++s)
-    solver.Step();
-  const double wall = Now() - t0;
-
-  vp::layout::Configure(vp::layout::LayoutConfig());
-  return wall;
+  for (int r = 0; r < rounds; ++r)
+    fb.Run(fast);
+  return Now() - t0;
 }
 
 // ---- codec shuffle: strided per-plane gather vs blocked transpose ----------
@@ -231,7 +253,7 @@ std::vector<std::vector<double>> RunBinning(bool threads, bool graphOn,
 
 const char *GateName(bool ok) { return ok ? "passed" : "FAILED"; }
 
-void WriteJson(unsigned hw, double scalarWall, double simdWall,
+void WriteJson(unsigned hw, double scalarWall, double forceWall,
                double forceRatio, double naiveWall, double blockedWall,
                double shuffleRatio, bool gatesEnforced, bool forceOk,
                bool shuffleOk, bool exact, const char *path)
@@ -242,9 +264,10 @@ void WriteJson(unsigned hw, double scalarWall, double simdWall,
   os << "{\n"
      << "  \"bench\": \"um_layout\",\n"
      << "  \"hardware_threads\": " << hw << ",\n"
+     << "  \"force_isa\": \"" << newton::ForceIsa() << "\",\n"
      << "  \"nbody_force\": {\n"
-     << "    \"scalar_aos_wall_seconds\": " << scalarWall << ",\n"
-     << "    \"simd_soa_wall_seconds\": " << simdWall << ",\n"
+     << "    \"reference_wall_seconds\": " << scalarWall << ",\n"
+     << "    \"force_wall_seconds\": " << forceWall << ",\n"
      << "    \"speedup\": " << forceRatio << "\n  },\n"
      << "  \"codec_shuffle\": {\n"
      << "    \"strided_wall_seconds\": " << naiveWall << ",\n"
@@ -273,21 +296,15 @@ void WriteJson(unsigned hw, double scalarWall, double simdWall,
 
 } // namespace
 
-// One solver step per iteration, scalar AoS vs SoA + SIMD lanes.
+// One full force sum over 1024 bodies per iteration, reference vs Force.
 static void BM_NbodyForce(benchmark::State &state)
 {
-  const bool simd = state.range(0) != 0;
-  Reset();
-  vp::layout::LayoutConfig lc;
-  lc.Default = simd ? vp::layout::Kind::SoA : vp::layout::Kind::AoS;
-  lc.Simd = simd;
-  vp::layout::Configure(lc);
-  newton::Solver solver(nullptr, ForceConfig(1024));
-  solver.Initialize();
+  const bool fast = state.range(0) != 0;
+  ForceBodies fb(1024);
   for (auto _ : state)
-    solver.Step();
-  state.SetLabel(simd ? "soa+simd lanes" : "scalar aos (seed)");
-  vp::layout::Configure(vp::layout::LayoutConfig());
+    fb.Run(fast);
+  state.SetLabel(fast ? std::string("force ") + newton::ForceIsa()
+                      : std::string("reference scalar loop"));
 }
 BENCHMARK(BM_NbodyForce)->Arg(0)->Arg(1)->UseRealTime();
 
@@ -349,13 +366,13 @@ int main(int argc, char **argv)
       }
 
   // wall-clock probes: best of 3 trials each to shed scheduler noise
-  const std::size_t bodies = 1024;
-  const int steps = 10;
-  double scalarWall = 1e30, simdWall = 1e30;
+  ForceBodies fb(1024);
+  const int forceRounds = 10;
+  double scalarWall = 1e30, forceWall = 1e30;
   for (int t = 0; t < 3; ++t)
   {
-    scalarWall = std::min(scalarWall, TimeForce(false, bodies, steps));
-    simdWall = std::min(simdWall, TimeForce(true, bodies, steps));
+    scalarWall = std::min(scalarWall, TimeForce(false, fb, forceRounds));
+    forceWall = std::min(forceWall, TimeForce(true, fb, forceRounds));
   }
 
   const std::size_t esize = 8, n = 1 << 22;
@@ -373,7 +390,7 @@ int main(int argc, char **argv)
                            TimeShuffle(true, esize, n, rounds, src, dst));
   }
 
-  const double forceRatio = simdWall > 0.0 ? scalarWall / simdWall : 0.0;
+  const double forceRatio = forceWall > 0.0 ? scalarWall / forceWall : 0.0;
   const double shuffleRatio =
     blockedWall > 0.0 ? naiveWall / blockedWall : 0.0;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -398,13 +415,12 @@ int main(int argc, char **argv)
     std::printf("VP_CHECK: 0 violations across the layout matrix\n");
   }
 
-  WriteJson(hw, scalarWall, simdWall, forceRatio, naiveWall, blockedWall,
+  WriteJson(hw, scalarWall, forceWall, forceRatio, naiveWall, blockedWall,
             shuffleRatio, gatesEnforced, forceOk, shuffleOk, exact,
             "BENCH_layout.json");
 
-  std::printf("nbody force:   scalar aos %.3f s, soa+simd %.3f s "
-              "(%.2fx)\n",
-              scalarWall, simdWall, forceRatio);
+  std::printf("nbody force:   reference %.3f s, %s %.3f s (%.2fx)\n",
+              scalarWall, newton::ForceIsa(), forceWall, forceRatio);
   std::printf("codec shuffle: strided %.3f s, blocked %.3f s (%.2fx)\n",
               naiveWall, blockedWall, shuffleRatio);
 
@@ -427,8 +443,8 @@ int main(int argc, char **argv)
   if (!forceOk)
   {
     std::fprintf(stderr,
-                 "um_layout: soa+simd force speedup %.2fx below the 1.5x "
-                 "gate\n",
+                 "um_layout: force speedup %.2fx over the reference loop "
+                 "below the 1.5x gate\n",
                  forceRatio);
     return 3;
   }

@@ -71,8 +71,8 @@ if [ -f BENCH_graph.json ]; then
   echo "wrote results/BENCH_graph.json"
 fi
 # um_layout writes the layout-engine campaign: real wall-clock for the
-# SoA+SIMD nbody force kernel vs the seed's scalar AoS loop and for the
-# codec's blocked byte-plane transpose vs the strided per-plane gather,
+# nbody force kernel (newton::Force) vs its scalar reference loop and for
+# the codec's blocked byte-plane transpose vs the strided per-plane gather,
 # plus the binning bit-exactness matrix across serial/threads x
 # eager/graph-replay x aos/soa/aosoa; the binary exits nonzero when the
 # matrix diverges, and on machines with >= 4 hardware threads it also
@@ -156,9 +156,8 @@ echo "== step-graph campaign (VP_CHECK=1) =="
 VP_CHECK=1 ../build/bench/um_graph --benchmark_min_time=0.05 \
   | tee um_graph_checked.txt
 echo "== layout-engine campaign (VP_CHECK=1) =="
-# layout conversions (the deferred reorder kernels), the lane-vectorized
-# force and tiled binning variants, and the blocked plane transpose
-# under the checker; the bit-exactness matrix still applies, so a layout
+# layout conversions (the deferred reorder kernels), the tiled binning
+# variant, and the blocked plane transpose under the checker; the bit-exactness matrix still applies, so a layout
 # that perturbs the binning grids aborts the script here
 VP_CHECK=1 ../build/bench/um_layout --benchmark_min_time=0.05 \
   | tee um_layout_checked.txt
@@ -194,7 +193,7 @@ echo "== sanitized scheduler + compression runs (-DVP_SANITIZE=ON) =="
 # the drop/coalesce task destruction paths, and the codec byte-twiddling
 # (shuffle, varint, quantize) run under the sanitizers
 cmake -B ../build-sanitize -S .. -G Ninja -DVP_SANITIZE=ON
-cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testConfigs testViz testLayout um_layout
+cmake --build ../build-sanitize --target um_sched testSched um_compress testCompress testService testGraph um_graph testTune testConfigs testViz testLayout testNewton um_layout
 ../build-sanitize/bench/um_sched --benchmark_min_time=0.05 \
   | tee um_sched_sanitized.txt
 ../build-sanitize/tests/testSched
@@ -221,10 +220,13 @@ VP_CHECK=1 ../build-sanitize/bench/um_graph --benchmark_min_time=0.05 \
 # encodings, and the streamer's session teardown under ASan+UBSan
 ../build-sanitize/tests/testViz
 # the layout engine's reorder kernels (padded AoSoA tails, the 1000-seed
-# round-trip sweep), the blocked plane transpose, and the lane-vectorized
-# kernel variants under ASan+UBSan; um_layout keeps its bit-exactness
-# matrix gate in the sanitized build too
+# round-trip sweep), the blocked plane transpose, and the tiled binning
+# variant under ASan+UBSan; um_layout keeps its bit-exactness matrix gate
+# in the sanitized build too
 ../build-sanitize/tests/testLayout
+# the AVX2 force kernel's unaligned loads over shard ranges and its
+# scalar tail, checked bit for bit against the reference loop
+../build-sanitize/tests/testNewton
 VP_CHECK=1 ../build-sanitize/bench/um_layout --benchmark_min_time=0.05 \
   | tee um_layout_sanitized.txt
 

@@ -175,12 +175,11 @@ std::vector<Row> MakeRows()
     D("graph", "repin_threshold", "", 0, kInf,
       FIELD(GraphConfig, RepinThreshold)),
 
-    // <layout> — the default array layout and the SIMD kernel variants
+    // <layout> — the default array layout
     E("layout", "default", "VP_LAYOUT", kLayouts,
       FIELD(LayoutConfig, Default), Pick(0, 2)),
     I("layout", "block", "", 2, 65536, FIELD(LayoutConfig, Block),
       Pow2(8, 128)),
-    B("layout", "simd", "VP_SIMD", FIELD(LayoutConfig, Simd), Flip()),
 
     // <service> — the multi-tenant in-transit service
     I("service", "max_sessions", "VP_SVC_MAX_SESSIONS", 1, kInt,

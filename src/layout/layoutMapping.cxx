@@ -180,11 +180,6 @@ std::size_t DefaultBlock()
   return GetConfig().Block;
 }
 
-bool SimdEnabled()
-{
-  return GetConfig().Simd;
-}
-
 // --- counters ----------------------------------------------------------------
 
 LayoutStats Stats()

@@ -24,12 +24,9 @@
 /// identity and Slots() == Tuples, so the bulk of the repo's columns
 /// (separate x/y/z/... arrays) pay nothing for the abstraction.
 ///
-/// The process-wide LayoutConfig (VP_LAYOUT / VP_SIMD environment, the
-/// <layout> SENSEI XML element, per-analysis overrides) selects the
-/// default Kind for newly declared arrays and whether kernels may take
-/// their vectorized (SIMD lane) variants. The scalar paths are
-/// bit-exact with the seed timeline; the SIMD variants reassociate
-/// floating-point accumulation and are therefore opt-in.
+/// The process-wide LayoutConfig (VP_LAYOUT environment, the <layout>
+/// SENSEI XML element, per-analysis overrides) selects the default Kind
+/// for newly declared arrays. Every layout gives bit-identical results.
 
 #include <cctype>
 #include <cstddef>
@@ -145,20 +142,17 @@ struct Mapping
 
 // --- process-wide configuration ---------------------------------------------
 
-/// The `<layout>` XML element / VP_LAYOUT, VP_SIMD environment.
+/// The `<layout>` XML element / VP_LAYOUT environment.
 struct LayoutConfig
 {
   Kind Default = Kind::AoS; ///< layout for newly declared arrays
   std::size_t Block = 32;   ///< AoSoA block size
-  bool Simd = false;        ///< allow vectorized (reassociating) kernels
 
   bool operator==(const LayoutConfig &) const = default;
 };
 
 /// The configuration the environment selects: VP_LAYOUT names the
-/// default Kind ("aos" | "soa" | "aosoa" | "aosoa<B>"), VP_SIMD enables
-/// the vectorized kernel variants (both optional; AoS + scalar
-/// otherwise).
+/// default Kind ("aos" | "soa" | "aosoa" | "aosoa<B>"; AoS otherwise).
 LayoutConfig DefaultConfig();
 
 /// Replace the process-wide configuration. Validated: Block must be in
@@ -171,7 +165,6 @@ LayoutConfig GetConfig();
 /// Shorthands for the hot paths.
 Kind DefaultKind();
 std::size_t DefaultBlock();
-bool SimdEnabled();
 
 // --- counters ----------------------------------------------------------------
 

@@ -1,11 +1,13 @@
 #include "newtonSolver.h"
 
 #include "layoutMapping.h"
+#include "newtonForce.h"
 #include "vomp.h"
 #include "vpPlatform.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace newton
@@ -142,99 +144,30 @@ void Solver::PairwiseAccumulate(const double *sx, const double *sy,
   if (!n || !nSrc)
     return;
 
-  const double *x = this->X_->GetData();
-  const double *y = this->Y_->GetData();
-  const double *z = this->Z_->GetData();
-  double *ax = this->AX_->GetData();
-  double *ay = this->AY_->GetData();
-  double *az = this->AZ_->GetData();
+  ForceArgs args;
+  args.X = this->X_->GetData();
+  args.Y = this->Y_->GetData();
+  args.Z = this->Z_->GetData();
+  args.AX = this->AX_->GetData();
+  args.AY = this->AY_->GetData();
+  args.AZ = this->AZ_->GetData();
+  args.SX = sx;
+  args.SY = sy;
+  args.SZ = sz;
+  args.SM = sm;
+  args.NSrc = nSrc;
+  args.Self = self;
+  args.G = this->Config_.G;
+  args.Eps2 = this->Config_.Softening * this->Config_.Softening;
 
-  const double g = this->Config_.G;
-  const double eps2 = this->Config_.Softening * this->Config_.Softening;
-
-  // The vectorized variant keeps per-lane force accumulators so the
-  // compiler can pack the inner loop and overlap the div/sqrt chains.
-  // Lane accumulation reassociates the floating-point sum, so it is
-  // opt-in (VP_SIMD / <layout simd="1">). It also relies on eps2 > 0 to
-  // absorb the self interaction branchlessly (dx = 0 makes the term
-  // contribute exactly zero); with zero softening the scalar path runs.
-  const bool simd = vp::layout::SimdEnabled() && (!self || eps2 > 0.0);
-  if (simd)
+  if (std::strcmp(ForceIsa(), "avx2") == 0)
     vp::layout::NoteSimdKernel();
   else
     vp::layout::NoteScalarKernel();
 
   vomp::TargetParallelFor(
     this->OmpDevice_, n,
-    [=](std::size_t b, std::size_t e)
-    {
-      if (simd)
-      {
-        constexpr std::size_t W = 4; // accumulator lanes
-        const std::size_t nv = nSrc - nSrc % W;
-        for (std::size_t i = b; i < e; ++i)
-        {
-          double fx[W] = {0.0}, fy[W] = {0.0}, fz[W] = {0.0};
-          const double xi = x[i], yi = y[i], zi = z[i];
-          for (std::size_t j = 0; j < nv; j += W)
-          {
-            for (std::size_t l = 0; l < W; ++l)
-            {
-              const double dx = sx[j + l] - xi;
-              const double dy = sy[j + l] - yi;
-              const double dz = sz[j + l] - zi;
-              const double r2 = dx * dx + dy * dy + dz * dz + eps2;
-              const double inv = 1.0 / (r2 * std::sqrt(r2));
-              const double s = g * sm[j + l] * inv;
-              fx[l] += s * dx;
-              fy[l] += s * dy;
-              fz[l] += s * dz;
-            }
-          }
-          double tfx = (fx[0] + fx[1]) + (fx[2] + fx[3]);
-          double tfy = (fy[0] + fy[1]) + (fy[2] + fy[3]);
-          double tfz = (fz[0] + fz[1]) + (fz[2] + fz[3]);
-          for (std::size_t j = nv; j < nSrc; ++j)
-          {
-            const double dx = sx[j] - xi;
-            const double dy = sy[j] - yi;
-            const double dz = sz[j] - zi;
-            const double r2 = dx * dx + dy * dy + dz * dz + eps2;
-            const double inv = 1.0 / (r2 * std::sqrt(r2));
-            const double s = g * sm[j] * inv;
-            tfx += s * dx;
-            tfy += s * dy;
-            tfz += s * dz;
-          }
-          ax[i] += tfx;
-          ay[i] += tfy;
-          az[i] += tfz;
-        }
-        return;
-      }
-      for (std::size_t i = b; i < e; ++i)
-      {
-        double fx = 0.0, fy = 0.0, fz = 0.0;
-        const double xi = x[i], yi = y[i], zi = z[i];
-        for (std::size_t j = 0; j < nSrc; ++j)
-        {
-          if (self && j == i)
-            continue;
-          const double dx = sx[j] - xi;
-          const double dy = sy[j] - yi;
-          const double dz = sz[j] - zi;
-          const double r2 = dx * dx + dy * dy + dz * dz + eps2;
-          const double inv = 1.0 / (r2 * std::sqrt(r2));
-          const double s = g * sm[j] * inv;
-          fx += s * dx;
-          fy += s * dy;
-          fz += s * dz;
-        }
-        ax[i] += fx;
-        ay[i] += fy;
-        az[i] += fz;
-      }
-    },
+    [args](std::size_t b, std::size_t e) { Force(args, b, e); },
     vomp::TargetBounds{OpsPerInteraction * static_cast<double>(nSrc), 0.0,
                        "newton_force", /*Shardable=*/true});
 }

@@ -91,7 +91,8 @@ private:
 
   /// Accumulate accelerations on the local bodies from nSrc source bodies
   /// whose coordinate/mass arrays are dereferenceable on the solver's
-  /// device. `self` skips the i==j self interaction.
+  /// device, one newton::Force call per shard of local bodies. `self`
+  /// skips the i==j self interaction.
   void PairwiseAccumulate(const double *sx, const double *sy,
                           const double *sz, const double *sm,
                           std::size_t nSrc, bool self);

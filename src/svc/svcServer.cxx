@@ -404,6 +404,44 @@ void Server::HandleWire(Session &s, std::vector<std::uint8_t> &&wire)
   }
 }
 
+bool Server::ReadMessage(Session &s)
+{
+  std::vector<std::uint8_t> msg;
+  const IoStatus st = s.Io->TryRecv(msg);
+  if (st == IoStatus::Timeout)
+    return false; // nothing buffered
+  if (st == IoStatus::Closed || st == IoStatus::Dead)
+  {
+    if (s.Assembler.MidMessage())
+    {
+      s.Why = SessionEnd::ShortRead;
+      UpdateStats([](ServiceStats &stt) { ++stt.ShortReads; });
+    }
+    else
+    {
+      s.Why = st == IoStatus::Closed ? SessionEnd::Closed
+                                     : SessionEnd::Reaped;
+    }
+    s.Draining = true;
+    return true;
+  }
+
+  s.LastHeard = RealNow();
+  try
+  {
+    std::vector<std::uint8_t> wire;
+    if (s.Assembler.Feed(std::move(msg), wire))
+      this->HandleWire(s, std::move(wire));
+  }
+  catch (const std::exception &)
+  {
+    UpdateStats([](ServiceStats &stt) { ++stt.FramesRejected; });
+    s.Why = SessionEnd::Error;
+    s.Draining = true;
+  }
+  return true;
+}
+
 bool Server::PollSession(Session &s)
 {
   bool moved = false;
@@ -414,43 +452,9 @@ bool Server::PollSession(Session &s)
     if (s.Draining ||
         s.Queue.Full(this->Config_.QueueDepth, this->Config_.Pressure))
       break; // `block`: leave traffic in the ring, the client stalls
-
-    std::vector<std::uint8_t> msg;
-    const IoStatus st = s.Io->TryRecv(msg);
-    if (st == IoStatus::Timeout)
-      break; // nothing buffered
-    if (st == IoStatus::Closed || st == IoStatus::Dead)
-    {
-      if (s.Assembler.MidMessage())
-      {
-        s.Why = SessionEnd::ShortRead;
-        UpdateStats([](ServiceStats &stt) { ++stt.ShortReads; });
-      }
-      else
-      {
-        s.Why = st == IoStatus::Closed ? SessionEnd::Closed
-                                       : SessionEnd::Reaped;
-      }
-      s.Draining = true;
-      moved = true;
+    if (!this->ReadMessage(s))
       break;
-    }
-
-    s.LastHeard = RealNow();
     moved = true;
-    try
-    {
-      std::vector<std::uint8_t> wire;
-      if (s.Assembler.Feed(std::move(msg), wire))
-        this->HandleWire(s, std::move(wire));
-    }
-    catch (const std::exception &)
-    {
-      UpdateStats([](ServiceStats &stt) { ++stt.FramesRejected; });
-      s.Why = SessionEnd::Error;
-      s.Draining = true;
-      break;
-    }
   }
 
   // liveness: a silent, empty connection past its heartbeat budget is a
@@ -525,15 +529,20 @@ bool Server::DrainSession(Session &s)
       s.Queue.Requeue(std::move(f));
       break;
     }
-    {
-      std::lock_guard<std::mutex> lock(wk.Mutex);
-      wk.Inbox.emplace_back(std::move(f));
-    }
-    wk.InboxSize.fetch_add(1);
-    wk.Cv.notify_one();
+    Hand(wk, std::move(f));
     moved = true;
   }
   return moved;
+}
+
+void Server::Hand(Worker &wk, Frame &&f)
+{
+  {
+    std::lock_guard<std::mutex> lock(wk.Mutex);
+    wk.Inbox.emplace_back(std::move(f));
+  }
+  wk.InboxSize.fetch_add(1);
+  wk.Cv.notify_one();
 }
 
 void Server::DispatchLoop()
@@ -578,22 +587,27 @@ void Server::DispatchLoop()
 
     if (stopping)
     {
-      // final pass: push everything still queued to the workers
-      // (ignoring the inbox bound), then leave
+      // final pass: hand every frame a session still holds to the
+      // workers (ignoring the inbox bound), then leave. Block
+      // backpressure leaves accepted frames in the ring behind a full
+      // queue, so the ring is read out too, through the queue. Only the
+      // messages already buffered are read: a tenant still streaming
+      // cannot hold Stop open.
       for (auto &sp : this->Sessions_)
       {
         Session &s = *sp;
-        Frame f;
-        while (s.Queue.Pop(f))
+        std::size_t unread = s.Io->RxPending();
+        while (true)
         {
-          const int w = this->PlaceFrame(s, f);
-          Worker &wk = *this->Workers_[static_cast<std::size_t>(w)];
+          Frame f;
+          while (s.Queue.Pop(f))
           {
-            std::lock_guard<std::mutex> lock(wk.Mutex);
-            wk.Inbox.emplace_back(std::move(f));
+            const int w = this->PlaceFrame(s, f);
+            Hand(*this->Workers_[static_cast<std::size_t>(w)], std::move(f));
           }
-          wk.InboxSize.fetch_add(1);
-          wk.Cv.notify_one();
+          if (s.Draining || unread == 0 || !this->ReadMessage(s))
+            break;
+          --unread;
         }
         // a session caught mid-drain keeps its already-determined cause
         this->EndSession(s, s.Draining ? s.Why : SessionEnd::Closed);

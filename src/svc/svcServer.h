@@ -175,6 +175,13 @@ private:
   /// Poll one session's ring; returns true when anything moved.
   bool PollSession(Session &s);
 
+  /// Read one message from the session's ring and act on it; false when
+  /// the ring had nothing buffered.
+  bool ReadMessage(Session &s);
+
+  /// Append a frame to a worker's inbox and wake it.
+  static void Hand(Worker &wk, Frame &&f);
+
   /// Route queued frames to workers; returns true when anything moved.
   bool DrainSession(Session &s);
 

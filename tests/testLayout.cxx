@@ -15,6 +15,7 @@
 #include "hamrBuffer.h"
 #include "layoutMapping.h"
 #include "layoutView.h"
+#include "newtonForce.h"
 #include "newtonSolver.h"
 #include "senseiConfigurableAnalysis.h"
 #include "senseiDataAdaptor.h"
@@ -30,10 +31,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <random>
+#include <string>
 #include <vector>
 
 using vp::layout::Kind;
@@ -60,7 +63,6 @@ protected:
   void SetUp() override
   {
     unsetenv("VP_LAYOUT");
-    unsetenv("VP_SIMD");
     vp::layout::Configure(vp::layout::LayoutConfig());
     vp::exec::Configure(vp::exec::ExecConfig());
     vp::graph::Configure(vp::graph::GraphConfig());
@@ -70,7 +72,6 @@ protected:
   void TearDown() override
   {
     unsetenv("VP_LAYOUT");
-    unsetenv("VP_SIMD");
     vp::layout::Configure(vp::layout::LayoutConfig());
     vp::exec::Configure(vp::exec::ExecConfig());
     vp::graph::Configure(vp::graph::GraphConfig());
@@ -509,16 +510,10 @@ TEST_F(LayoutTest, CodecShuffleRoundTripsEveryDtype)
 TEST_F(LayoutTest, DefaultConfigReadsEnvironment)
 {
   setenv("VP_LAYOUT", "aosoa16", 1);
-  setenv("VP_SIMD", "1", 1);
   const vp::layout::LayoutConfig cfg = vp::layout::DefaultConfig();
   EXPECT_EQ(cfg.Default, Kind::AoSoA);
   EXPECT_EQ(cfg.Block, 16u);
-  EXPECT_TRUE(cfg.Simd);
-  // every boolean takes the XML vocabulary
-  setenv("VP_SIMD", "off", 1);
-  EXPECT_FALSE(vp::layout::DefaultConfig().Simd);
   unsetenv("VP_LAYOUT");
-  unsetenv("VP_SIMD");
 }
 
 TEST_F(LayoutTest, ConfigureValidatesBlock)
@@ -534,25 +529,21 @@ TEST_F(LayoutTest, ConfigurableAnalysisParsesLayoutElement)
 {
   sensei::ConfigurableAnalysis *ca = sensei::ConfigurableAnalysis::New();
   ca->InitializeString(
-    "<sensei><layout default=\"soa\" block=\"8\" simd=\"1\"/></sensei>");
+    "<sensei><layout default=\"soa\" block=\"8\"/></sensei>");
   const vp::layout::LayoutConfig cfg = vp::layout::GetConfig();
   EXPECT_EQ(cfg.Default, Kind::SoA);
   EXPECT_EQ(cfg.Block, 8u);
-  EXPECT_TRUE(cfg.Simd);
   ca->UnRegister();
 }
 
 TEST_F(LayoutTest, EnvironmentWinsOverLayoutElement)
 {
   setenv("VP_LAYOUT", "aos", 1);
-  setenv("VP_SIMD", "0", 1);
   vp::layout::Configure(vp::layout::DefaultConfig());
   sensei::ConfigurableAnalysis *ca = sensei::ConfigurableAnalysis::New();
-  ca->InitializeString(
-    "<sensei><layout default=\"soa\" simd=\"1\"/></sensei>");
+  ca->InitializeString("<sensei><layout default=\"soa\"/></sensei>");
   const vp::layout::LayoutConfig cfg = vp::layout::GetConfig();
   EXPECT_EQ(cfg.Default, Kind::AoS);
-  EXPECT_FALSE(cfg.Simd);
   ca->UnRegister();
 }
 
@@ -606,7 +597,7 @@ TEST_F(LayoutTest, TuneSpaceCarriesLayoutKnobs)
   }
   EXPECT_TRUE(def);
   EXPECT_TRUE(blk);
-  EXPECT_TRUE(simd);
+  EXPECT_FALSE(simd); // the force kernel is bit-exact: nothing to opt into
 }
 
 TEST_F(LayoutTest, TunePointRoundTripsLayoutFields)
@@ -614,12 +605,10 @@ TEST_F(LayoutTest, TunePointRoundTripsLayoutFields)
   tune::ConfigPoint p;
   p.Layout.Default = Kind::AoSoA;
   p.Layout.Block = 16;
-  p.Layout.Simd = true;
   const tune::ConfigPoint q = tune::ParseXml(tune::EmitXml(p));
   EXPECT_EQ(q, p);
   EXPECT_EQ(q.Layout.Default, Kind::AoSoA);
   EXPECT_EQ(q.Layout.Block, 16u);
-  EXPECT_TRUE(q.Layout.Simd);
 }
 
 // --- profiler export ---------------------------------------------------------
@@ -768,15 +757,24 @@ newton::Config NewtonConfig()
   return c;
 }
 
-newton::BodySet RunNewton(bool threads, bool simd)
+/// Three solver steps under the given execution mode, graph setting,
+/// process layout default and (threads only, 0 = engine default) shard
+/// grain.
+newton::BodySet RunNewton(bool threads, bool graphOn = false,
+                          Kind layout = Kind::AoS, std::size_t grain = 0)
 {
   ResetPlatform();
   vp::exec::ExecConfig ec;
   ec.ExecMode = threads ? vp::exec::Mode::Threads : vp::exec::Mode::Serial;
   ec.Threads = threads ? 2 : 0;
+  if (grain)
+    ec.ShardGrain = grain;
   vp::exec::Configure(ec);
+  vp::graph::GraphConfig gc;
+  gc.Enabled = graphOn;
+  vp::graph::Configure(gc);
   vp::layout::LayoutConfig lc;
-  lc.Simd = simd;
+  lc.Default = layout;
   vp::layout::Configure(lc);
 
   newton::Solver solver(nullptr, NewtonConfig());
@@ -786,8 +784,61 @@ newton::BodySet RunNewton(bool threads, bool simd)
   newton::BodySet bodies = solver.DownloadBodies();
 
   vp::exec::Configure(vp::exec::ExecConfig());
+  vp::graph::Configure(vp::graph::GraphConfig());
   vp::layout::Configure(vp::layout::LayoutConfig());
   return bodies;
+}
+
+/// The same three kick-drift-kick steps on the host, every force sum
+/// taken by the scalar reference loop.
+newton::BodySet RunReferenceIntegrator()
+{
+  const newton::Config c = NewtonConfig();
+  newton::BodySet b = newton::GenerateInitialCondition(c, 0, 1);
+  const std::size_t n = b.Size();
+  std::vector<double> ax(n), ay(n), az(n);
+  newton::ForceArgs f;
+  f.X = f.SX = b.X.data();
+  f.Y = f.SY = b.Y.data();
+  f.Z = f.SZ = b.Z.data();
+  f.SM = b.M.data();
+  f.AX = ax.data();
+  f.AY = ay.data();
+  f.AZ = az.data();
+  f.NSrc = n;
+  f.Self = true;
+  f.G = c.G;
+  f.Eps2 = c.Softening * c.Softening;
+  auto accelerate = [&]
+  {
+    std::fill(ax.begin(), ax.end(), 0.0);
+    std::fill(ay.begin(), ay.end(), 0.0);
+    std::fill(az.begin(), az.end(), 0.0);
+    newton::ForceReference(f, 0, n);
+  };
+  auto kick = [&](double dt)
+  {
+    for (std::size_t i = 0; i < n; ++i)
+    {
+      b.VX[i] += dt * ax[i];
+      b.VY[i] += dt * ay[i];
+      b.VZ[i] += dt * az[i];
+    }
+  };
+  accelerate();
+  for (int s = 0; s < 3; ++s)
+  {
+    kick(0.5 * c.Dt);
+    for (std::size_t i = 0; i < n; ++i)
+    {
+      b.X[i] += c.Dt * b.VX[i];
+      b.Y[i] += c.Dt * b.VY[i];
+      b.Z[i] += c.Dt * b.VZ[i];
+    }
+    accelerate();
+    kick(0.5 * c.Dt);
+  }
+  return b;
 }
 
 } // namespace
@@ -805,26 +856,33 @@ TEST_F(LayoutTest, NewtonScalarForceBitExactSerialVsThreads)
   EXPECT_EQ(a.VZ, b.VZ);
 }
 
-TEST_F(LayoutTest, NewtonSimdForceMatchesScalarWithinRounding)
+TEST_F(LayoutTest, NewtonForceBitExactWithReferenceIntegrator)
 {
-  const newton::BodySet a = RunNewton(false, false);
-  vp::layout::ResetStats();
-  const newton::BodySet b = RunNewton(false, true);
-  EXPECT_GT(vp::layout::Stats().SimdKernels, 0u);
-  ASSERT_EQ(a.Size(), b.Size());
-  // the lane variant reassociates the force sum: near-equal, not
-  // bit-equal
-  for (std::size_t i = 0; i < a.Size(); ++i)
-  {
-    EXPECT_NEAR(a.X[i], b.X[i], 1e-9) << i;
-    EXPECT_NEAR(a.Y[i], b.Y[i], 1e-9) << i;
-    EXPECT_NEAR(a.Z[i], b.Z[i], 1e-9) << i;
-    EXPECT_NEAR(a.VX[i], b.VX[i], 1e-6) << i;
-    EXPECT_NEAR(a.VY[i], b.VY[i], 1e-6) << i;
-    EXPECT_NEAR(a.VZ[i], b.VZ[i], 1e-6) << i;
-  }
-  // the SIMD lane variant is bit-deterministic with itself
-  const newton::BodySet c = RunNewton(true, true);
-  EXPECT_EQ(b.X, c.X);
-  EXPECT_EQ(b.VX, c.VX);
+  // the dispatched (vectorized) force kernel reproduces the scalar
+  // reference loop bit for bit under every execution mode and layout;
+  // a 37-body shard grain makes threaded shards start off the 4-lane
+  // boundary
+  const newton::BodySet ref = RunReferenceIntegrator();
+  const bool avx2 = std::string(newton::ForceIsa()) == "avx2";
+  for (bool threads : {false, true})
+    for (bool graphOn : {false, true})
+      for (Kind k : {Kind::AoS, Kind::SoA, Kind::AoSoA})
+      {
+        vp::layout::ResetStats();
+        const newton::BodySet got = RunNewton(threads, graphOn, k, 37);
+        const vp::layout::LayoutStats st = vp::layout::Stats();
+        const std::string tag = std::string("threads=") +
+                                (threads ? "1" : "0") + " graph=" +
+                                (graphOn ? "1" : "0") + " layout=" +
+                                vp::layout::KindName(k);
+        // the force counts as a vectorized kernel when it ran on AVX2
+        EXPECT_GT(avx2 ? st.SimdKernels : st.ScalarKernels, 0u) << tag;
+        ASSERT_EQ(got.Size(), ref.Size()) << tag;
+        EXPECT_EQ(got.X, ref.X) << tag;
+        EXPECT_EQ(got.Y, ref.Y) << tag;
+        EXPECT_EQ(got.Z, ref.Z) << tag;
+        EXPECT_EQ(got.VX, ref.VX) << tag;
+        EXPECT_EQ(got.VY, ref.VY) << tag;
+        EXPECT_EQ(got.VZ, ref.VZ) << tag;
+      }
 }

@@ -1,11 +1,13 @@
 // Unit tests for the Newton++ reproduction: initial conditions, domain
 // decomposition, the symplectic integrator's physical invariants (energy,
 // momentum, time reversibility), repartitioning, serial/parallel
-// agreement, and the SENSEI bridge.
+// agreement, the SENSEI bridge, and the force kernel's bit-exactness
+// with its scalar reference loop.
 
 #include "minimpi.h"
 #include "newtonDataAdaptor.h"
 #include "newtonDriver.h"
+#include "newtonForce.h"
 #include "newtonSolver.h"
 #include "vomp.h"
 #include "vpPlatform.h"
@@ -14,7 +16,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <random>
+#include <string>
+#include <vector>
 
 using newton::Config;
 using newton::InitialCondition;
@@ -132,6 +138,175 @@ TEST(NewtonIC, GalaxyPartitionsConsistently)
     total += b.Size();
   }
   EXPECT_EQ(total, 257u);
+}
+
+// --- force kernel ------------------------------------------------------------------------
+
+namespace
+{
+
+std::vector<double> Uniform(std::size_t n, double lo, double hi,
+                            std::mt19937_64 &gen)
+{
+  std::uniform_real_distribution<double> u(lo, hi);
+  std::vector<double> v(n);
+  for (double &x : v)
+    x = u(gen);
+  return v;
+}
+
+/// Bitwise equality: tells -0 from +0 and compares NaN payloads.
+bool SameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// n targets and a source block: the targets themselves (`self`) or
+/// nSrc other bodies. The accumulators start nonzero so the final `+=`
+/// is exercised too.
+struct ForceCase
+{
+  std::vector<double> X, Y, Z, AX, AY, AZ, SX, SY, SZ, SM;
+  newton::ForceArgs Args;
+
+  ForceCase(std::size_t n, std::size_t nSrc, bool self, double softening,
+            unsigned seed)
+  {
+    std::mt19937_64 gen(seed);
+    X = Uniform(n, -1.0, 1.0, gen);
+    Y = Uniform(n, -1.0, 1.0, gen);
+    Z = Uniform(n, -1.0, 1.0, gen);
+    AX = Uniform(n, -0.5, 0.5, gen);
+    AY = Uniform(n, -0.5, 0.5, gen);
+    AZ = Uniform(n, -0.5, 0.5, gen);
+    if (self)
+    {
+      SX = X;
+      SY = Y;
+      SZ = Z;
+      SM = Uniform(n, 0.1, 2.0, gen);
+    }
+    else
+    {
+      SX = Uniform(nSrc, -1.5, 1.5, gen);
+      SY = Uniform(nSrc, -1.5, 1.5, gen);
+      SZ = Uniform(nSrc, -1.5, 1.5, gen);
+      SM = Uniform(nSrc, 0.1, 2.0, gen);
+    }
+    Args.NSrc = SX.size();
+    Args.Self = self;
+    Args.G = 0.75;
+    Args.Eps2 = softening * softening;
+    Bind();
+  }
+
+  ForceCase(const ForceCase &o)
+    : X(o.X), Y(o.Y), Z(o.Z), AX(o.AX), AY(o.AY), AZ(o.AZ), SX(o.SX),
+      SY(o.SY), SZ(o.SZ), SM(o.SM), Args(o.Args)
+  {
+    Bind();
+  }
+
+  void Bind()
+  {
+    Args.X = X.data();
+    Args.Y = Y.data();
+    Args.Z = Z.data();
+    Args.AX = AX.data();
+    Args.AY = AY.data();
+    Args.AZ = AZ.data();
+    // the self block is the target arrays, exactly as the solver passes
+    Args.SX = Args.Self ? X.data() : SX.data();
+    Args.SY = Args.Self ? Y.data() : SY.data();
+    Args.SZ = Args.Self ? Z.data() : SZ.data();
+    Args.SM = SM.data();
+  }
+};
+
+/// Force over each [cuts[k], cuts[k+1]) against one ForceReference pass
+/// over the whole span; every accumulator, inside the span or not, must
+/// match bit for bit.
+void ExpectBitExact(const ForceCase &base, const std::vector<std::size_t> &cuts,
+                    const std::string &what)
+{
+  ForceCase ref(base), got(base);
+  newton::ForceReference(ref.Args, cuts.front(), cuts.back());
+  for (std::size_t k = 0; k + 1 < cuts.size(); ++k)
+    newton::Force(got.Args, cuts[k], cuts[k + 1]);
+  EXPECT_TRUE(SameBits(ref.AX, got.AX)) << what;
+  EXPECT_TRUE(SameBits(ref.AY, got.AY)) << what;
+  EXPECT_TRUE(SameBits(ref.AZ, got.AZ)) << what;
+}
+
+const std::size_t kForceSizes[] = {1, 3, 4, 7, 300, 1021};
+
+} // namespace
+
+TEST(NewtonForce, IsaNamesTheDispatchedKernel)
+{
+  const std::string isa = newton::ForceIsa();
+  EXPECT_TRUE(isa == "avx2" || isa == "scalar") << isa;
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  EXPECT_EQ(isa == "avx2", __builtin_cpu_supports("avx2") != 0);
+#endif
+}
+
+TEST(NewtonForce, SelfBlockBitExactWithReference)
+{
+  for (std::size_t n : kForceSizes)
+  {
+    const ForceCase c(n, n, /*self=*/true, 0.025, 7u + n);
+    ExpectBitExact(c, {0, n}, "self n=" + std::to_string(n));
+  }
+}
+
+TEST(NewtonForce, RemoteBlocksBitExactWithReference)
+{
+  for (std::size_t n : kForceSizes)
+    for (std::size_t nSrc : {std::size_t(1), n + 5, 2 * n + 1})
+    {
+      const ForceCase c(n, nSrc, /*self=*/false, 0.025, 11u + n + nSrc);
+      ExpectBitExact(c, {0, n},
+                     "remote n=" + std::to_string(n) +
+                       " nSrc=" + std::to_string(nSrc));
+    }
+}
+
+TEST(NewtonForce, ZeroSofteningSelfTermAddsExactlyNothing)
+{
+  // the skipped i == j term is 0/0 here: a lane must zero it, not sum it
+  for (std::size_t n : kForceSizes)
+  {
+    const ForceCase c(n, n, /*self=*/true, 0.0, 23u + n);
+    ExpectBitExact(c, {0, n}, "eps=0 self n=" + std::to_string(n));
+
+    ForceCase got(c);
+    newton::Force(got.Args, 0, n);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_TRUE(std::isfinite(got.AX[i]) && std::isfinite(got.AY[i]) &&
+                  std::isfinite(got.AZ[i]))
+        << "n=" << n << " i=" << i;
+  }
+  const ForceCase remote(300, 77, /*self=*/false, 0.0, 29u);
+  ExpectBitExact(remote, {0, 300}, "eps=0 remote");
+}
+
+TEST(NewtonForce, ShardedRangesBitExactWithReference)
+{
+  // threaded shards start anywhere, not on a multiple of the lane count
+  for (bool self : {true, false})
+  {
+    const ForceCase c(1021, self ? 1021 : 513, self, 0.025, self ? 31u : 37u);
+    const std::string tag = self ? "self " : "remote ";
+    ExpectBitExact(c, {0, 1, 6, 7, 13, 300, 301, 655, 1020, 1021},
+                   tag + "shards");
+    ExpectBitExact(c, {3, 4}, tag + "[3,4)");
+    ExpectBitExact(c, {5, 300}, tag + "[5,300)");
+    ExpectBitExact(c, {2, 1019}, tag + "[2,1019)");
+    ExpectBitExact(c, {9, 9}, tag + "empty range");
+  }
 }
 
 // --- solver physics ----------------------------------------------------------------------

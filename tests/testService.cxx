@@ -577,6 +577,52 @@ TEST(SvcFlow, BlockBoundsTheQueueAndLosesNothing)
   EXPECT_LE(s.QueueHighWater, 2u);
 }
 
+TEST(SvcFlow, StopRightAfterCloseExecutesFramesLeftInTheRing)
+{
+  ResetAll();
+  svc::ServiceConfig cfg = FastConfig();
+  cfg.Workers = 1;
+  cfg.QueueDepth = 1;
+  cfg.Pressure = sched::Backpressure::Block;
+  std::atomic<bool> release{false};
+  svc::Server server(
+    [&](int, const svc::FrameHeader &, std::vector<std::uint8_t> &&)
+    {
+      while (!release.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    },
+    cfg);
+  server.Start();
+
+  svc::Client client(server.Connect());
+  ASSERT_TRUE(client.Connect(cmp::Params{}, false));
+  const std::vector<std::uint8_t> payload = Blob(64, 3);
+  constexpr int kFrames = 8;
+  // EXPECT, not ASSERT, until `release`: returning early would leave the
+  // worker wedged and Stop waiting on it
+  for (int s = 0; s < kFrames; ++s)
+    EXPECT_TRUE(client.SendFrame(static_cast<std::uint64_t>(s),
+                                 payload.data(), payload.size(),
+                                 payload.size(), false));
+  // the worker is wedged on frame 0, frames 1-2 fill its inbox, frame 3
+  // fills the queue; frames 4-7 and the Goodbye stay in the ring
+  EXPECT_TRUE(Eventually([&] { return svc::Stats().FramesAccepted == 4; }));
+  client.Close();
+
+  std::thread stopper([&] { server.Stop(); });
+  // the session ends only in Stop's final pass: the queue is full and the
+  // inbox saturated, so the dispatcher cannot read the Goodbye before it
+  EXPECT_TRUE(Eventually([&] { return server.ActiveSessions() == 0; }));
+  release.store(true);
+  stopper.join();
+
+  const svc::ServiceStats s = svc::Stats();
+  EXPECT_EQ(s.FramesAccepted, static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(s.FramesExecuted, static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(s.FramesRejected, 0u);
+  EXPECT_EQ(server.Ended(svc::SessionEnd::Closed), 1u);
+}
+
 // --- fault-injected tenancy -------------------------------------------------
 
 TEST(SvcFault, CrashDuringFrameIsAShortReadOnlyForThatTenant)
